@@ -16,11 +16,12 @@ regression gate (``per_sec`` / ``wall`` are timing-key markers); CI runs
 the gate on this artifact with a wide tolerance anyway, so even incidental
 numeric drift in future columns fails soft rather than flaky.
 
-The ``batched`` mode measures the struct-of-arrays engine
-(:mod:`repro.batch`) driving 32 consensus lanes through one fused step
-loop.  Its gated values: the aggregate step count (deterministic — the
-lanes are seeded), ``matches_serial`` (the lanes sharing the serial
-cell's seeds reproduced its step counts bit-for-bit) and
+The ``batched`` mode measures the fast interpreter (:mod:`repro.batch`)
+driving 32 consensus lanes through one ``run_lanes`` call, with cold memo
+caches on every repeat (they live for one call).  Its gated values: the
+aggregate step count (deterministic — the lanes are seeded),
+``matches_serial`` (the lanes sharing the serial cell's seeds reproduced
+its step counts bit-for-bit) and
 ``meets_floor_5x`` (aggregate steps/sec at least 5x the serial
 consensus/bare row *on the same host*, so the boolean is
 host-independent even though the underlying wall-clocks are not).

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.analysis.stats import Summary, summarize
-from repro.parallel import ParallelExecutionError, run_tasks, run_tasks_partial
+from repro.batch.dispatch import run_tasks_batched
+from repro.parallel import ParallelExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.ledger import RunLedger
@@ -81,39 +82,29 @@ def _run_recorded(
             ),
         )
 
-    pending_tasks = [tasks[index] for index in pending]
-    if batch_size is not None:
-        # Batched dispatch reports results under the same flat indices,
-        # so the checkpointer flushes identical ledger bytes (the cell
-        # fingerprints never see the batch boundary).
-        from repro.batch import run_tasks_batched
-
-        partial = run_tasks_batched(
-            run_task,
-            pending_tasks,
-            batch_size=batch_size,
-            workers=workers,
-            progress=progress,
-            metrics=metrics,
-            policy=policy,
-            task_timeout=task_timeout,
-            on_result=checkpoint,
-        )
-    else:
-        partial = run_tasks_partial(
-            run_task,
-            pending_tasks,
-            workers=workers,
-            progress=progress,
-            metrics=metrics,
-            policy=policy,
-            task_timeout=task_timeout,
-            on_result=checkpoint,
-        )
+    # Batched dispatch reports results under the same flat indices, so
+    # the checkpointer flushes identical ledger bytes at any batch size.
+    partial = run_tasks_batched(
+        run_task,
+        [tasks[index] for index in pending],
+        batch_size=batch_size,
+        workers=workers,
+        progress=progress,
+        metrics=metrics,
+        policy=policy,
+        task_timeout=task_timeout,
+        on_result=checkpoint,
+    )
     checkpointer.close()
+    _raise_errors(partial)
+    return [v for v in results if v is not None]
+
+
+def _raise_errors(partial: Any) -> list:
+    """A fail-fast/retry run's values; a terminally lost task raises."""
     if partial.errors:
         raise ParallelExecutionError(partial.errors)
-    return [v for v in results if v is not None]
+    return list(partial.results)
 
 
 def repeat_runs(
@@ -141,19 +132,12 @@ def repeat_runs(
     retry policies only: a replication that is terminally lost raises —
     silently dropping samples would skew the statistics).  ``batch_size``
     (default: the ``REPRO_BATCH`` environment variable) groups seeds into
-    batches per pool task — and through the fused interpreter when
-    ``run_once`` carries ``batch_lane``/``batch_value`` hooks (see
-    :mod:`repro.batch`) — with results bit-identical either way.
+    batches per pool task, with results bit-identical either way.
     """
-    from repro.batch import resolve_batch_size
-
     seeds = list(seeds)
-    batch_size = resolve_batch_size(batch_size)
     if ledger is None:
-        if batch_size is not None:
-            from repro.batch import run_tasks_batched
-
-            partial = run_tasks_batched(
+        return _raise_errors(
+            run_tasks_batched(
                 run_once,
                 seeds,
                 batch_size=batch_size,
@@ -162,16 +146,6 @@ def repeat_runs(
                 policy=policy,
                 task_timeout=task_timeout,
             )
-            if partial.errors:
-                raise ParallelExecutionError(partial.errors)
-            return [value for value in partial.results if value is not None]
-        return run_tasks(
-            run_once,
-            seeds,
-            workers=workers,
-            progress=progress,
-            policy=policy,
-            task_timeout=task_timeout,
         )
     base = {"experiment": experiment, **dict(config or {})}
     cells = [(seed, base) for seed in seeds]
@@ -238,11 +212,9 @@ class Sweep:
     #: Optional :class:`~repro.obs.metrics.MetricsRegistry` the engine
     #: records its dispatch shape and resilience counters into.
     metrics: Any = None
-    #: Lanes per batch (``None`` → the ``REPRO_BATCH`` environment
-    #: variable, unset meaning unbatched).  Cells whose ``run_once``
-    #: carries ``batch_lane``/``batch_value`` hooks go through the fused
-    #: struct-of-arrays interpreter; everything else runs grouped-serial.
-    #: Results and ledger bytes are identical at any batch size.
+    #: Cells per pool task (``None`` → the ``REPRO_BATCH`` environment
+    #: variable, unset meaning ungrouped).  Results and ledger bytes are
+    #: identical at any batch size.
     batch_size: int | None = None
 
     def execute(
@@ -258,30 +230,19 @@ class Sweep:
         regrouped by point in value order — output is identical to the
         serial nested loop for any worker count.
         """
-        from repro.batch import resolve_batch_size
-
         if workers is None:
             workers = self.workers
         if batch_size is None:
             batch_size = self.batch_size
-        batch_size = resolve_batch_size(batch_size)
         tasks = [
             (value, self.seed_base + rep)
             for value in self.values
             for rep in range(self.repetitions)
         ]
         run_task = lambda task: self.run_once(task[0], task[1])  # noqa: E731
-        # The fused-lane hooks live on run_once; re-expose them on the
-        # task-shaped wrapper so batched dispatch can see them.
-        for hook in ("batch_lane", "batch_value"):
-            bound = getattr(self.run_once, hook, None)
-            if bound is not None:
-                setattr(run_task, hook, bound)
         if self.ledger is None:
-            if batch_size is not None:
-                from repro.batch import run_tasks_batched
-
-                partial = run_tasks_batched(
+            samples = _raise_errors(
+                run_tasks_batched(
                     run_task,
                     tasks,
                     batch_size=batch_size,
@@ -291,19 +252,7 @@ class Sweep:
                     policy=self.policy,
                     task_timeout=self.task_timeout,
                 )
-                if partial.errors:
-                    raise ParallelExecutionError(partial.errors)
-                samples = [v for v in partial.results if v is not None]
-            else:
-                samples = run_tasks(
-                    run_task,
-                    tasks,
-                    workers=workers,
-                    progress=progress,
-                    metrics=self.metrics,
-                    policy=self.policy,
-                    task_timeout=self.task_timeout,
-                )
+            )
         else:
             base = {"experiment": self.experiment, **dict(self.config or {})}
             cells = [

@@ -287,6 +287,9 @@ def measure_batched_throughput(
 ) -> ThroughputSample:
     """Best-of-``repeats`` aggregate steps/sec of the fused batch loop.
 
+    The engine's memo caches live for one ``run_lanes`` call, so every
+    repeat is timed cold.
+
     Raises if any lane needed a serial fallback — the benchmark exists to
     measure the fast path, and a silent fallback would quietly measure
     the wrong interpreter.

@@ -1,10 +1,11 @@
-"""Batched struct-of-arrays execution: many simulations per process.
+"""The fast ADS interpreter and grouped dispatch.
 
-:mod:`repro.batch.engine` is the fused step-loop interpreter (lanes of
-independent seeded ADS runs, bit-identical to the serial runtime);
-:mod:`repro.batch.dispatch` wires it under the campaign entry points as
-a ``batch_size`` knob that composes with the process pool.  See
-``docs/performance.md`` ("Batched execution").
+:mod:`repro.batch.engine` is the flat-state interpreter (lanes of
+independent seeded default-ADS runs, bit-identical to the generator
+runtime) that canonical ADS/random sweep cells run on by default;
+:mod:`repro.batch.dispatch` groups campaign cells per pool task behind
+the ``batch_size`` knob.  See ``docs/performance.md`` ("Fast interpreter
+and batched dispatch").
 """
 
 from repro.batch.dispatch import (
@@ -13,14 +14,22 @@ from repro.batch.dispatch import (
     resolve_batch_size,
     run_tasks_batched,
 )
-from repro.batch.engine import LaneResult, LaneSpec, run_lanes
+from repro.batch.engine import (
+    INTERPRETER_ENV,
+    LaneResult,
+    LaneSpec,
+    resolve_interpreter,
+    run_lanes,
+)
 
 __all__ = [
     "BATCH_ENV",
+    "INTERPRETER_ENV",
     "LaneResult",
     "LaneSpec",
     "make_batch_task",
     "resolve_batch_size",
+    "resolve_interpreter",
     "run_lanes",
     "run_tasks_batched",
 ]

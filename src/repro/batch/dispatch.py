@@ -1,27 +1,16 @@
-"""Wiring the struct-of-arrays engine under the campaign entry points.
+"""Grouped dispatch: many campaign cells per pool task.
 
 The contract with callers (``repeat_runs``, ``Sweep``, ``fuzz_consensus``,
 ``run_mutation_campaign``) is a *drop-in lane under the task list*: tasks
 are grouped into consecutive batches, each batch becomes one pool task
 (so batching composes with ``--workers`` — every worker drains whole
-batches instead of single cells), and the flat results come back in
-submission order, bit-identical to the serial path.
+batches instead of single cells, amortising fork and IPC per task by the
+batch size), and the flat results come back in submission order,
+bit-identical to the ungrouped path.
 
-Two levels of speedup, both semantics-free:
-
-- **Grouped dispatch** (any task): batch-of-N amortises fork and IPC per
-  task by N.  This is what fuzz cells and campaign cells get — their
-  per-cell fault plans and watchdogs stay on the ordinary serial
-  interpreter, just N cells per pool round-trip.
-- **Fused lanes** (tasks that opt in): a task function may carry two
-  attributes — ``batch_lane(task) -> LaneSpec | None`` and
-  ``batch_value(task, LaneResult) -> value | None`` — mapping a task into
-  the fast interpreter and its outcome back into the task's value.
-  Returning ``None`` from either hook (or a lane finishing with a
-  ``fallback`` reason) drops that one task back onto ``run_task``
-  unchanged, which reproduces the serial result or the serial exception
-  exactly.  ``repro.workloads.make_sweep_runner`` opts the canonical
-  ADS/random sweep in this way.
+Which interpreter runs a cell is the cell's own business, not the
+dispatcher's: the canonical ADS/random sweep cell runs on the fast
+interpreter at any batch size (see ``repro.workloads.make_sweep_runner``).
 
 Checkpointing and ledger identity are untouched: results are reported
 through ``on_result`` with the task's original flat index, so
@@ -35,21 +24,18 @@ import dataclasses
 import os
 from typing import Any, Callable, Sequence
 
-from repro.batch.engine import LaneResult, LaneSpec, run_lanes
 from repro.resilience.policy import PartialResult
 
 #: Environment variable read when no explicit batch size is passed —
 #: the batched analogue of ``REPRO_WORKERS``.
 BATCH_ENV = "REPRO_BATCH"
 
-_UNSET = object()
-
 
 def resolve_batch_size(batch_size: int | None = None) -> int | None:
     """Validate a batch size, falling back to ``REPRO_BATCH``.
 
     Unlike ``--workers`` there is no "0 = auto" convention: a batch is a
-    lane count, so only positive integers make sense.  ``None`` (and an
+    cell count, so only positive integers make sense.  ``None`` (and an
     unset/empty environment variable) means batching is off.
     """
     if batch_size is None:
@@ -61,11 +47,11 @@ def resolve_batch_size(batch_size: int | None = None) -> int | None:
         except ValueError:
             raise ValueError(
                 f"{BATCH_ENV}={raw!r} is not an integer; set it to a "
-                "positive lane count (unset it to disable batching)"
+                "positive cell count (unset it to disable batching)"
             ) from None
         if value < 1:
             raise ValueError(
-                f"{BATCH_ENV}={raw!r} must be >= 1 (lanes per batch); "
+                f"{BATCH_ENV}={raw!r} must be >= 1 (cells per batch); "
                 "unset it to disable batching"
             )
         return value
@@ -79,36 +65,10 @@ def resolve_batch_size(batch_size: int | None = None) -> int | None:
 
 
 def make_batch_task(run_task: Callable[[Any], Any]) -> Callable[[list], list]:
-    """Lift a per-task function to a per-batch function.
-
-    The returned callable runs one group of tasks: fused lanes for every
-    task the hooks accept, the ordinary ``run_task`` for the rest (and
-    for any lane that fell back), preserving group order.
-    """
-    lane_of = getattr(run_task, "batch_lane", None)
-    value_of = getattr(run_task, "batch_value", None)
-    fused = lane_of is not None and value_of is not None
+    """Lift a per-task function to a per-batch function (group order kept)."""
 
     def run_batch(group: Sequence[Any]) -> list:
-        group = list(group)
-        values: list[Any] = [_UNSET] * len(group)
-        if fused:
-            lanes: list[tuple[int, LaneSpec]] = []
-            for position, task in enumerate(group):
-                spec = lane_of(task)
-                if spec is not None:
-                    lanes.append((position, spec))
-            if lanes:
-                outcomes = run_lanes([spec for _, spec in lanes])
-                for (position, _), lane in zip(lanes, outcomes):
-                    if lane.fallback is None:
-                        value = value_of(group[position], lane)
-                        if value is not None:
-                            values[position] = value
-        for position, task in enumerate(group):
-            if values[position] is _UNSET:
-                values[position] = run_task(task)
-        return values
+        return [run_task(task) for task in group]
 
     return run_batch
 
@@ -117,7 +77,7 @@ def run_tasks_batched(
     run_task: Callable[[Any], Any],
     tasks: Sequence[Any],
     *,
-    batch_size: int,
+    batch_size: int | None = None,
     workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
     metrics: Any = None,
@@ -127,8 +87,10 @@ def run_tasks_batched(
 ) -> PartialResult:
     """``run_tasks_partial`` over groups of ``batch_size`` tasks.
 
-    Results (and ``on_result`` callbacks) use the original flat task
-    indices, so ledger checkpointing is oblivious to the grouping.
+    ``batch_size`` defaults to ``REPRO_BATCH``; unset, the tasks go to
+    ``run_tasks_partial`` ungrouped.  Results (and ``on_result``
+    callbacks) use the original flat task indices, so ledger
+    checkpointing is oblivious to the grouping.
     Resilience knobs apply per *group*: a retried or timed-out unit of
     work is one whole batch, which recomputes deterministically.  A
     terminally failed group surfaces as one ``TaskError`` anchored at the
@@ -140,8 +102,13 @@ def run_tasks_batched(
 
     tasks = list(tasks)
     size = resolve_batch_size(batch_size)
+    engine_kwargs = dict(
+        workers=workers, metrics=metrics, policy=policy, task_timeout=task_timeout
+    )
     if size is None:
-        raise ValueError("run_tasks_batched needs an explicit batch_size")
+        return run_tasks_partial(
+            run_task, tasks, progress=progress, on_result=on_result, **engine_kwargs
+        )
     groups = [tasks[start : start + size] for start in range(0, len(tasks), size)]
     total = len(tasks)
     flat = PartialResult(results=[None] * total)
@@ -162,12 +129,9 @@ def run_tasks_batched(
     partial = run_tasks_partial(
         make_batch_task(run_task),
         groups,
-        workers=workers,
         progress=group_progress,
-        metrics=metrics,
-        policy=policy,
-        task_timeout=task_timeout,
         on_result=group_result,
+        **engine_kwargs,
     )
     for error in partial.errors:
         flat.errors.append(dataclasses.replace(error, index=error.index * size))
@@ -182,12 +146,4 @@ def run_tasks_batched(
     return flat
 
 
-__all__ = [
-    "BATCH_ENV",
-    "LaneResult",
-    "LaneSpec",
-    "make_batch_task",
-    "resolve_batch_size",
-    "run_lanes",
-    "run_tasks_batched",
-]
+__all__ = ["BATCH_ENV", "make_batch_task", "resolve_batch_size", "run_tasks_batched"]

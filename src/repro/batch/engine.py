@@ -37,20 +37,21 @@ never blocks the batch.
 non-default protocol configuration, ``n < 2``, non-binary inputs, an
 ill-formed counter decode, a walk overflow, an exhausted step budget —
 marks the lane with a ``fallback`` reason instead of guessing.  Callers
-(see :mod:`repro.batch.dispatch`) re-run fallback lanes through the
-ordinary serial entry point, which reproduces the serial result *or the
-serial exception* exactly.  The fast path is an optimisation, never a
+(see ``repro.workloads.make_sweep_runner``) re-run fallback lanes through
+the generator runtime, which reproduces the serial result *or the serial
+exception* exactly.  The fast path is an optimisation, never a
 semantic fork.
 
 The graph work of the protocol step (counter decode, longest-path
 distances, leader sets, counter increments) is memoised on the edge-row
-tuples: independent lanes revisit the same small strip-graph states
-constantly, so across a batch the amortised compute cost per step drops
-well below the serial interpreter's.
+tuples for the length of one :func:`run_lanes` call: a run revisits the
+same small strip-graph states constantly, and scoping the memo to the
+call keeps a long-lived process's memory flat.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -68,6 +69,28 @@ _B = 2  # barrier multiplier b
 
 #: Default step budget, matching ``ConsensusProtocol.run``.
 DEFAULT_MAX_STEPS = 2_000_000
+
+#: Environment override naming the interpreter of eligible cells.
+INTERPRETER_ENV = "REPRO_INTERPRETER"
+INTERPRETERS = ("fast", "generator")
+
+
+def resolve_interpreter() -> str:
+    """The interpreter eligible cells run on: ``REPRO_INTERPRETER``.
+
+    ``fast`` (the default, also when unset or empty) runs them on this
+    engine; ``generator`` forces the generator runtime, the oracle of
+    differential checks.  Anything else is an error naming the variable.
+    """
+    raw = os.environ.get(INTERPRETER_ENV, "").strip()
+    if not raw:
+        return "fast"
+    if raw not in INTERPRETERS:
+        raise ValueError(
+            f"{INTERPRETER_ENV}={raw!r} is not one of {', '.join(INTERPRETERS)} "
+            "(unset it for the default fast interpreter)"
+        )
+    return raw
 
 
 @dataclass(frozen=True)
@@ -106,6 +129,10 @@ class LaneResult:
     scans_by_pid: dict[int, int] = field(default_factory=dict)
     fallback: str | None = None
     schedule: list[int] | None = None
+    #: Largest |value| a walk counter stored, tracked at every flip (edge
+    #: counters stay below 3K and the round pointer at most K by
+    #: construction).
+    max_magnitude: int = 0
 
     def max_rounds(self) -> int:
         return max(self.rounds_by_pid.values(), default=0)
@@ -116,20 +143,15 @@ class _Unsupported(Exception):
 
 
 class _Caches:
-    """Memoised strip-graph computations, shared across a batch's lanes.
+    """Memoised strip-graph computations, shared by one call's lanes.
 
     Every entry is a pure function of edge-row tuples with the fast-path
-    constants fixed, so sharing across lanes (and across calls) is sound.
-    Failed computations cache their ``_Unsupported`` marker too — a state
-    the decoder rejects once it would reject every time.
+    constants fixed, so sharing across lanes is sound.  Failed
+    computations cache their ``_Unsupported`` marker too — a state the
+    decoder rejects once it would reject every time.
     """
 
     __slots__ = ("decode", "dists_from", "dists_to", "leaders", "inc")
-
-    #: Overflow guard: the reachable edge-row state space is tiny for the
-    #: small ``n`` the campaigns sweep, but a service process batching
-    #: forever should not grow without bound.
-    LIMIT = 1 << 20
 
     def __init__(self) -> None:
         self.decode: dict[Any, Any] = {}
@@ -137,17 +159,6 @@ class _Caches:
         self.dists_to: dict[Any, Any] = {}
         self.leaders: dict[Any, Any] = {}
         self.inc: dict[Any, Any] = {}
-
-    def trim(self) -> None:
-        for cache in (
-            self.decode,
-            self.dists_from,
-            self.dists_to,
-            self.leaders,
-            self.inc,
-        ):
-            if len(cache) > self.LIMIT:
-                cache.clear()
 
 
 def _decode(erows: tuple, n: int):
@@ -241,6 +252,7 @@ class _Lane:
         "fallback",
         "schedule",
         "viewbuf",
+        "max_magnitude",
     )
 
     def __init__(self, spec: LaneSpec, caches: _Caches, record: bool) -> None:
@@ -250,6 +262,7 @@ class _Lane:
         self.fallback: str | None = None
         self.schedule: list[int] | None = [] if record else None
         self.step_count = 0
+        self.max_magnitude = 0
         self.decisions: dict[int, Any] = {}
         n = self.n = len(spec.inputs)
         self.cells: list = [None] * n
@@ -611,6 +624,8 @@ class _Lane:
                 self.fallback = "walk step outside bounded counter range"
                 return None
             self.flips[i] += 1
+            if abs(new_value) > self.max_magnitude:
+                self.max_magnitude = abs(new_value)
             coins = list(cell[1])
             coins[nslot] = new_value
             return (cell[0], tuple(coins), cell[2], cell[3])
@@ -636,6 +651,7 @@ class _Lane:
             else {},
             fallback=self.fallback,
             schedule=self.schedule,
+            max_magnitude=self.max_magnitude,
         )
 
 
@@ -643,9 +659,6 @@ class _Lane:
 #: amortise the outer loop, small enough that retiring lanes free their
 #: slot quickly.
 DEFAULT_CHUNK = 4096
-
-#: Shared memo caches for the module's default entry point.
-_SHARED_CACHES = _Caches()
 
 
 def run_lanes(
@@ -657,9 +670,10 @@ def run_lanes(
 
     Lanes retire individually — the round-robin outer loop drops a lane
     the moment it decides everywhere (or falls back), so one adversarial
-    slow lane costs only its own steps, not the batch's.
+    slow lane costs only its own steps, not the batch's.  The memo caches
+    live and die with the call: every call starts cold.
     """
-    caches = _SHARED_CACHES
+    caches = _Caches()
     lanes = [_Lane(spec, caches, record_schedule) for spec in specs]
     active = [lane for lane in lanes if not lane.done and lane.fallback is None]
     while active:
@@ -669,5 +683,4 @@ def run_lanes(
             if not lane.done and lane.fallback is None:
                 still.append(lane)
         active = still
-    caches.trim()
     return [lane.result() for lane in lanes]

@@ -161,8 +161,8 @@ def _workers_arg(text: str) -> int:
 def _batch_arg(text: str) -> int:
     """argparse type for ``--batch``: same actionable style as --workers.
 
-    Unlike workers there is no 0-means-auto: a batch is a lane count, so
-    only positive integers parse (omit the flag to disable batching).
+    Unlike workers there is no 0-means-auto: a batch is a cell (or lane)
+    count, so only positive integers parse (omit the flag to disable).
     """
     try:
         value = int(text)
@@ -1403,9 +1403,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_batch_arg,
         default=None,
         metavar="N",
-        help="simulation lanes per batch through the fused "
-        "struct-of-arrays step loop (default REPRO_BATCH; results and "
-        "ledger bytes identical at any batch size)",
+        help="cells per batch task (default REPRO_BATCH; results and "
+        "ledger bytes identical at any batch size; REPRO_INTERPRETER="
+        "generator forces the generator runtime for ADS/random cells)",
     )
     sweep.add_argument(
         "--progress", action="store_true", help="tick run completion on stderr"

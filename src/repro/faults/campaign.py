@@ -35,10 +35,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.batch.dispatch import run_tasks_batched
 from repro.consensus.ads import AdsConsensus
 from repro.consensus.validation import validate_run
 from repro.faults.plan import FAULT_KINDS, FaultPlan
-from repro.parallel import ParallelExecutionError, run_tasks_partial
+from repro.parallel import ParallelExecutionError
 from repro.registers.atomic import AtomicRegister
 from repro.registers.linearizability import HistoryOp, check_register_history
 from repro.runtime.scheduler import RoundRobinScheduler
@@ -361,30 +362,14 @@ def run_mutation_campaign(
         run_spec = task_wrapper(run_spec)
     continue_mode = policy is not None and policy.mode == "continue"
 
-    # Campaign cells build fault-injected simulations, so there is no
-    # fused fast path — batching groups cells per pool task (identical
-    # report, fewer fork/IPC round-trips).
-    from repro.batch import resolve_batch_size
-
-    batch_size = resolve_batch_size(batch_size)
-
+    # Campaign cells build fault-injected simulations on the generator
+    # runtime; batching groups cells per pool task (identical report,
+    # fewer fork/IPC round-trips).
     def dispatch(tasks, on_result=None):
-        if batch_size is not None:
-            from repro.batch import run_tasks_batched
-
-            return run_tasks_batched(
-                run_spec,
-                tasks,
-                batch_size=batch_size,
-                workers=workers,
-                policy=policy,
-                task_timeout=task_timeout,
-                metrics=metrics,
-                on_result=on_result,
-            )
-        return run_tasks_partial(
+        return run_tasks_batched(
             run_spec,
             tasks,
+            batch_size=batch_size,
             workers=workers,
             policy=policy,
             task_timeout=task_timeout,

@@ -24,12 +24,13 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
+from repro.batch.dispatch import run_tasks_batched
 from repro.consensus.ads import pref_reader
 from repro.consensus.interface import ConsensusRun
 from repro.consensus.validation import validate_run
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import Watchdog
-from repro.parallel import ParallelExecutionError, run_tasks_partial
+from repro.parallel import ParallelExecutionError
 from repro.runtime.adversary import LockstepAdversary, SplitAdversary
 from repro.runtime.rng import derive_rng
 from repro.runtime.scheduler import (
@@ -330,21 +331,6 @@ def _run_cell(
     return cell
 
 
-def _dispatch(run_cell, specs, *, batch_size, **engine_kwargs):
-    """Route cells through the batched dispatcher when a batch size is
-    set, the plain engine otherwise.  Fuzz cells have no fused-lane hooks
-    (their fault plans and watchdogs need the full serial interpreter),
-    so batching groups ``batch_size`` cells per pool task — same results,
-    amortised fork/IPC."""
-    if batch_size is not None:
-        from repro.batch import run_tasks_batched
-
-        return run_tasks_batched(
-            run_cell, specs, batch_size=batch_size, **engine_kwargs
-        )
-    return run_tasks_partial(run_cell, specs, **engine_kwargs)
-
-
 def _run_cells_recorded(
     run_cell: Callable[[tuple[int, str]], _CellOutcome],
     specs: list[tuple[int, str]],
@@ -406,7 +392,7 @@ def _run_cells_recorded(
             ),
         )
 
-    partial = _dispatch(
+    partial = run_tasks_batched(
         run_cell,
         [specs[index] for index in pending],
         batch_size=batch_size,
@@ -542,9 +528,6 @@ def fuzz_consensus(
     if task_wrapper is not None:
         run_cell = task_wrapper(run_cell)
 
-    from repro.batch import resolve_batch_size
-
-    batch_size = resolve_batch_size(batch_size)
     partial: "PartialResult | None" = None
     if stop_on_first_failure:
         cells = []
@@ -584,7 +567,7 @@ def fuzz_consensus(
             batch_size=batch_size,
         )
     else:
-        partial = _dispatch(
+        partial = run_tasks_batched(
             run_cell,
             specs,
             batch_size=batch_size,

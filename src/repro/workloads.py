@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from repro.coin.logic import default_m
 from repro.consensus import (
     AdsConsensus,
     AspnesHerlihyConsensus,
@@ -113,12 +114,26 @@ def make_sweep_runner(
     seed (no shared state), validates safety, and reduces the run to one
     number — total steps or max rounds.  An unsafe run raises: a sweep
     must never average over violations.
+
+    Default ADS under the random scheduler with ``n >= 2`` runs as one
+    lane of the fast interpreter (:mod:`repro.batch`), which reproduces
+    the generator runtime's RNG streams bit-for-bit; ``REPRO_INTERPRETER=
+    generator`` forces the generator runtime instead.  A lane that falls
+    back or fails a check re-runs on the generator runtime, reproducing
+    the serial result or exception unchanged.
     """
+    from repro.batch.engine import resolve_interpreter
+
+    eligible = (protocol, scheduler) == ("ads", "random")
+    fast = eligible and resolve_interpreter() == "fast"
 
     def run_once(n: int, seed: int) -> float:
-        instance = PROTOCOLS[protocol]()
         inputs = [(seed + i) % 2 for i in range(n)]
-        run = instance.run(
+        if fast and n >= 2:
+            value = _fast_cell(inputs, seed, metric, max_steps)
+            if value is not None:
+                return value
+        run = PROTOCOLS[protocol]().run(
             inputs,
             scheduler=make_scheduler(scheduler, seed),
             seed=seed,
@@ -131,47 +146,41 @@ def make_sweep_runner(
             )
         return float(run.max_rounds() if metric == "rounds" else run.total_steps)
 
-    if protocol == "ads" and scheduler == "random":
-        # Opt the canonical cell into the fused batch interpreter (see
-        # repro.batch): default ADS under the random scheduler is exactly
-        # the fast path, and the engine reproduces the serial RNG streams
-        # bit-for-bit.  Any lane the engine cannot interpret (n < 2, odd
-        # counter states, an exhausted budget) re-runs through run_once,
-        # reproducing the serial result or exception unchanged.
-        from repro.batch import LaneSpec
-
-        def batch_lane(task):
-            n, seed = task
-            if n < 2:
-                return None
-            return LaneSpec(
-                inputs=tuple((seed + i) % 2 for i in range(n)),
-                seed=seed,
-                max_steps=max_steps,
-            )
-
-        def batch_value(task, lane):
-            n, seed = task
-            decided = set(lane.decisions.values())
-            # validate_run's four checks on a crash-free run: agreement,
-            # validity/domain (decisions drawn from the inputs), and
-            # completion (every process decided).  Any violation falls
-            # back to run_once, which raises the serial "unsafe run"
-            # error with the full report.
-            if (
-                len(decided) > 1
-                or not decided <= set(lane.spec.inputs)
-                or len(lane.decisions) != n
-            ):
-                return None
-            return float(
-                lane.max_rounds() if metric == "rounds" else lane.total_steps
-            )
-
-        run_once.batch_lane = batch_lane
-        run_once.batch_value = batch_value
-
     return run_once
+
+
+def _fast_cell(
+    inputs: list[int], seed: int, metric: str, max_steps: int
+) -> float | None:
+    """One default-ADS cell as a fast-interpreter lane, or ``None`` when
+    the generator runtime must run it instead."""
+    from repro.batch import LaneSpec, run_lanes
+
+    lane = run_lanes([LaneSpec(tuple(inputs), seed, max_steps)])[0]
+    if lane.fallback is not None:
+        return None
+    decided = set(lane.decisions.values())
+    # validate_run's checks on a crash-free run: completion (every process
+    # decided), agreement and validity/domain (the value is an input).  A
+    # violation re-runs on the generator runtime, which raises the serial
+    # "unsafe run" error with the full report.
+    if (
+        len(lane.decisions) != len(inputs)
+        or len(decided) != 1
+        or not decided <= set(inputs)
+    ):
+        return None
+    # E6: no stored integer exceeds the static bound max(m+1, 3K-1).
+    ads = AdsConsensus()
+    n = len(inputs)
+    m = ads.m_bound or default_m(ads.b_barrier, n, ads.f_factor)
+    bound = max(m + 1, 3 * ads.K - 1)
+    if lane.max_magnitude > bound:
+        raise RuntimeError(
+            f"memory bound exceeded (n={n}, seed={seed}): a walk counter "
+            f"stored {lane.max_magnitude} > max(m+1, 3K-1) = {bound}"
+        )
+    return float(lane.max_rounds() if metric == "rounds" else lane.total_steps)
 
 
 def build_sweep(

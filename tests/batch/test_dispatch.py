@@ -1,7 +1,7 @@
 """The batch dispatch layer: validation, grouping, and entry-point identity.
 
-Batching is a pure execution-strategy knob — these tests pin that it is
-*observably absent* from every result: sweep ledger bytes, fuzz reports
+Batching groups cells per pool task and is a pure execution-strategy
+knob — these tests pin that it is *observably absent* from every result: sweep ledger bytes, fuzz reports
 and repeat_runs values are byte/value-identical at any batch size, flat
 task indices survive the grouping, and the ``batch_size``/``REPRO_BATCH``
 knobs reject nonsense with messages that name the knob.
@@ -128,20 +128,6 @@ def test_group_error_reanchored_at_flat_index():
 def test_make_batch_task_without_hooks_is_plain_map():
     run_batch = make_batch_task(lambda task: task + 1)
     assert run_batch([1, 2, 3]) == [2, 3, 4]
-
-
-def test_make_batch_task_hook_refusal_falls_back():
-    calls = []
-
-    def run_task(task):
-        calls.append(task)
-        return ("serial", task)
-
-    run_task.batch_lane = lambda task: None  # refuse every task
-    run_task.batch_value = lambda task, lane: ("fused", task)
-    run_batch = make_batch_task(run_task)
-    assert run_batch([7, 8]) == [("serial", 7), ("serial", 8)]
-    assert calls == [7, 8]
 
 
 def test_progress_counts_flat_tasks():
