@@ -24,7 +24,10 @@ keys, compact separators), which buys three properties:
 
 The file format is crash-tolerant in the only way JSONL can be: a torn
 trailing line (a writer died mid-append) is ignored on read; a malformed
-line anywhere *else* is corruption and raises.
+line anywhere *else* is corruption and raises.  A :class:`RunLedger`
+handle indexes the file incrementally (offsets and identity digests,
+never whole records), so a long-lived handle — the serve dispatcher's —
+parses each line once and still sees every other writer's appends.
 
 Enable recording with ``--ledger PATH`` on the CLI commands or the
 ``REPRO_LEDGER`` environment variable; it is off by default.
@@ -273,6 +276,41 @@ def truncate_torn_tail(path: pathlib.Path | str) -> bool:
     return False
 
 
+def _parse_line(
+    path: pathlib.Path, lineno: int, line: str, trailing: bool
+) -> LedgerRecord | None:
+    """One ledger line as a record; ``None`` for a torn trailing line.
+
+    An unparsable line that is not the file's last line, or any line
+    that parses as JSON but not as a record, raises
+    :class:`LedgerCorruption` naming ``<file>:<line>``.
+    """
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError as exc:
+        if trailing:
+            return None  # torn trailing line: a crash mid-append, not corruption
+        raise LedgerCorruption(
+            f"{path}:{lineno}: unparsable ledger line (not the trailing "
+            f"line, so this is corruption, not a torn append): {exc}; "
+            f"line starts {line[:60]!r}"
+        ) from None
+    try:
+        return LedgerRecord.from_payload(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LedgerCorruption(
+            f"{path}:{lineno}: ledger line parses as JSON but is not a "
+            f"valid record ({type(exc).__name__}: {exc}); "
+            f"line starts {line[:60]!r}"
+        ) from None
+
+
+def _digest(record: LedgerRecord) -> bytes:
+    """SHA-256 of a record's :meth:`~LedgerRecord.identity` — what the
+    index keeps in place of the record itself."""
+    return hashlib.sha256(record.identity().encode("utf-8")).digest()
+
+
 def read_records(path: pathlib.Path | str) -> list[LedgerRecord]:
     """Read every record of a ledger file, tolerating a torn last line.
 
@@ -289,73 +327,169 @@ def read_records(path: pathlib.Path | str) -> list[LedgerRecord]:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
-                break  # torn trailing line: a crash mid-append, not corruption
-            raise LedgerCorruption(
-                f"{path}:{lineno}: unparsable ledger line (not the trailing "
-                f"line, so this is corruption, not a torn append): {exc}; "
-                f"line starts {line[:60]!r}"
-            ) from None
-        try:
-            records.append(LedgerRecord.from_payload(payload))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LedgerCorruption(
-                f"{path}:{lineno}: ledger line parses as JSON but is not a "
-                f"valid record ({type(exc).__name__}: {exc}); "
-                f"line starts {line[:60]!r}"
-            ) from None
+        record = _parse_line(path, lineno, line, trailing=lineno == len(lines))
+        if record is None:
+            break
+        records.append(record)
     return records
 
 
 class RunLedger:
     """Append-only, content-addressed JSONL store of run records.
 
-    Loads its index lazily on first use and keeps it in sync with its own
-    appends; one :class:`RunLedger` instance assumes it is the only
-    writer for its lifetime (the CLI model — one command, one ledger
-    handle).  ``use_cache=False`` makes :meth:`cached` always miss, which
-    is how ``--no-cache`` forces recomputation while still recording.
+    A handle is a lean, tail-following index over the file: for each
+    fingerprint, the byte offset of every line filed under it and the
+    SHA-256 of that line's :meth:`~LedgerRecord.identity`.  It holds no
+    :class:`LedgerRecord`; a cache hit re-reads its one line at its
+    offset (and checks the digest).  Dedupe and contested-fingerprint
+    decisions come from the digests alone.
+
+    The index builds lazily at the first :meth:`cached`, :meth:`lookup`,
+    :meth:`append` or ``len()``, and each of those first :meth:`refresh`es
+    it: a ``stat``, then a read of only the bytes appended since, so each
+    line is parsed once per handle however long the handle lives.  Other
+    writers are therefore seen at the next probe — the serve dispatcher
+    keeps one handle for the server's lifetime and still sees every
+    record a concurrent CLI run appends.  The rules the refresh keeps:
+
+    - a trailing line without its newline is left unconsumed until it
+      completes (a writer mid-append, or a torn tail);
+    - a complete but unparsable *last* line is a torn tail too, until a
+      line follows it — then it is corruption, as in :func:`read_records`;
+    - a malformed line anywhere else raises :class:`LedgerCorruption`
+      naming ``<file>:<line>``;
+    - a file that shrank, vanished or was rewritten under the index
+      (``repro history gc``) — detected by re-reading the last indexed
+      line at its offset — is re-indexed from scratch.
+
+    ``use_cache=False`` makes :meth:`cached` always miss, which is how
+    ``--no-cache`` forces recomputation while still recording.
     """
 
     def __init__(self, path: pathlib.Path | str, use_cache: bool = True):
         self.path = pathlib.Path(path)
         self.use_cache = use_cache
-        self._records: list[LedgerRecord] | None = None
-        self._identities: set[str] | None = None
-        self._by_fingerprint: dict[str, list[LedgerRecord]] = {}
         #: Cache accounting for this handle's lifetime: how many
         #: :meth:`cached` probes were served vs missed.  Campaign resume
         #: reporting ("N cells served from checkpoint") reads these.
         self.hits = 0
         self.misses = 0
+        #: Refresh accounting for this handle's lifetime: bytes read and
+        #: lines parsed while indexing (the serve job trace reports them).
+        self.bytes_read = 0
+        self.lines_parsed = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        self._index: dict[str, list[tuple[int, bytes]]] = {}
+        self._digests: set[bytes] = set()
+        self._count = 0
+        self._offset = 0  # every complete line before this byte is indexed
+        self._lineno = 0  # lines consumed so far (for error messages)
+        self._last: tuple[int, bytes] | None = None  # last consumed line
+        self._stat: tuple[int, ...] | None = None  # file state at last read
+
+    # -- indexing ------------------------------------------------------------
+
+    def refresh(self) -> None:
+        """Index the complete lines appended since the last refresh."""
+        try:
+            st = os.stat(self.path)
+        except FileNotFoundError:
+            if self._offset:
+                self._reset()  # deleted: an empty ledger again
+            return
+        stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        if stamp == self._stat:
+            return
+        with open(self.path, "rb") as handle:
+            if self._last is not None:
+                start, line = self._last
+                handle.seek(start)
+                if handle.read(len(line)) != line:
+                    self._reset()  # shrank or rewritten: re-index it all
+            handle.seek(self._offset)
+            data = handle.read()
+        self.bytes_read += len(data)
+        self._consume(data)  # raises on corruption, so every probe re-raises
+        self._stat = stamp
+
+    def _consume(self, data: bytes) -> None:
+        base, pos = self._offset, 0
+        while end := data.find(b"\n", pos) + 1:  # a newline-less tail waits
+            line = data[pos:end].decode("utf-8", "replace")
+            if line.strip():
+                record = _parse_line(
+                    self.path, self._lineno + 1, line, trailing=end == len(data)
+                )
+                if record is None:
+                    return  # unparsable last line: torn until a line follows
+                self.lines_parsed += 1
+                digest = _digest(record)
+                self._index.setdefault(record.fingerprint, []).append(
+                    (base + pos, digest)
+                )
+                self._digests.add(digest)
+                self._count += 1
+                self._last = (base + pos, data[pos:end])
+            self._lineno += 1
+            self._offset = base + end
+            pos = end
+
+    def _entries(self, fingerprint: str) -> list[tuple[int, bytes]]:
+        self.refresh()
+        return self._index.get(fingerprint, [])
+
+    def _read(self, fingerprint: str, count: int | None = None) -> list[LedgerRecord]:
+        """The (first ``count``) records filed under a fingerprint, read
+        back at their offsets.  A line that no longer matches its digest
+        means the file was rewritten since the last refresh: re-index
+        and read again."""
+        for _ in range(2):
+            records = self._read_lines(self._entries(fingerprint)[:count])
+            if records is not None:
+                return records
+            self._reset()
+        raise LedgerCorruption(
+            f"{self.path}: lines filed under {fingerprint[:12]} changed while "
+            f"being read, twice"
+        )
+
+    def _read_lines(
+        self, entries: list[tuple[int, bytes]]
+    ) -> list[LedgerRecord] | None:
+        records: list[LedgerRecord] = []
+        if not entries:
+            return records
+        try:
+            with open(self.path, "rb") as handle:
+                for offset, digest in entries:
+                    handle.seek(offset)
+                    line = handle.readline().decode("utf-8", "replace")
+                    try:
+                        record = _parse_line(self.path, 0, line, trailing=True)
+                    except LedgerCorruption:
+                        return None
+                    if record is None or _digest(record) != digest:
+                        return None
+                    records.append(record)
+        except FileNotFoundError:
+            return None
+        return records
 
     # -- reading -------------------------------------------------------------
 
-    def _load(self) -> None:
-        if self._records is not None:
-            return
-        self._records = read_records(self.path)
-        self._identities = {r.identity() for r in self._records}
-        for record in self._records:
-            self._by_fingerprint.setdefault(record.fingerprint, []).append(record)
-
     def records(self) -> list[LedgerRecord]:
-        self._load()
-        assert self._records is not None
-        return list(self._records)
+        """Every record on disk now, in file order (a fresh read)."""
+        return read_records(self.path)
 
     def __len__(self) -> int:
-        self._load()
-        assert self._records is not None
-        return len(self._records)
+        self.refresh()
+        return self._count
 
     def lookup(self, fingerprint: str) -> list[LedgerRecord]:
         """Every record filed under a fingerprint (order = append order)."""
-        self._load()
-        return list(self._by_fingerprint.get(fingerprint, []))
+        return self._read(fingerprint)
 
     def cached(self, fingerprint: str) -> LedgerRecord | None:
         """The cache-hit record for a fingerprint, or ``None``.
@@ -368,8 +502,13 @@ class RunLedger:
         if not self.use_cache:
             self.misses += 1
             return None
-        records = self.lookup(fingerprint)
-        if not records or len({r.identity() for r in records}) > 1:
+        entries = self._entries(fingerprint)
+        records = (
+            self._read(fingerprint, count=1)
+            if len({digest for _, digest in entries}) == 1
+            else []  # unknown, or contested
+        )
+        if not records:
             self.misses += 1
             return None
         self.hits += 1
@@ -386,18 +525,15 @@ class RunLedger:
         a record whose fingerprint exists under a *different* identity IS
         appended — that conflict is determinism-violation evidence and
         must survive for :func:`repro.obs.projections.detect_violations`.
+        The new line is indexed by the next refresh, together with any
+        line another writer appended before it.
         """
-        self._load()
-        assert self._records is not None and self._identities is not None
-        identity = record.identity()
-        if identity in self._identities:
+        self.refresh()
+        if _digest(record) in self._digests:
             return False
         # Locked append: concurrent writers (serve dispatcher + a CLI run
         # sharing one ledger) interleave whole lines, never torn records.
         locked_append(self.path, record.to_line() + "\n")
-        self._records.append(record)
-        self._identities.add(identity)
-        self._by_fingerprint.setdefault(record.fingerprint, []).append(record)
         return True
 
     def append_all(self, records: Iterable[LedgerRecord]) -> int:
@@ -409,7 +545,8 @@ class RunLedger:
 
         Distinct identities under one fingerprint are *kept* — they are
         evidence, and collecting them is the flakiness detector's job.
-        Returns ``(kept, dropped)``.
+        Every handle on the file (this one included) re-indexes at its
+        next probe.  Returns ``(kept, dropped)``.
         """
         records = read_records(self.path)
         seen: set[str] = set()
@@ -425,11 +562,7 @@ class RunLedger:
             self.path.write_text(
                 "".join(record.to_line() + "\n" for record in kept)
             )
-        self._records = list(kept)
-        self._identities = set(seen)
-        self._by_fingerprint = {}
-        for record in kept:
-            self._by_fingerprint.setdefault(record.fingerprint, []).append(record)
+        self._reset()
         return len(kept), len(records) - len(kept)
 
 

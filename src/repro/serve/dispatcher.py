@@ -3,9 +3,13 @@
 One daemon thread claims jobs oldest-first and executes them through
 the *same* workload builders the CLI uses (:mod:`repro.workloads`), so
 a job's ledger records are byte-identical to the equivalent CLI run.
-Every job opens a fresh :class:`~repro.obs.ledger.RunLedger` handle on
-the server's ledger file: cells the ledger already holds are cache
-hits, fresh cells checkpoint incrementally via the experiment layer's
+The dispatcher keeps one :class:`~repro.obs.ledger.RunLedger` handle on
+the server's ledger file for its whole lifetime.  The handle's index is
+built at the first job, not at boot, and each later probe reads only the
+lines appended since (by this server or by a concurrent CLI run), so a
+job pays for its own tail, not for the whole ledger.  Cells the ledger
+already holds are cache hits, fresh cells checkpoint incrementally via
+the experiment layer's
 :class:`~repro.resilience.checkpoint.LedgerCheckpointer` — which is
 exactly what makes a SIGTERM survivable: the killed server leaves a
 valid submission-order ledger prefix, the restarted one requeues the
@@ -45,20 +49,27 @@ _RESILIENCE_COUNTERS = (
 class _TimedLedger(RunLedger):
     """A :class:`RunLedger` that timestamps its own appends.
 
-    The dispatcher hands one of these to the workload builders; the
+    The dispatcher hands its one handle to the workload builders; the
     experiment layer's :class:`~repro.resilience.checkpoint.
     LedgerCheckpointer` flushes through :meth:`append` as cells finish,
     so the first/last append times bracket exactly the job's
     checkpointing activity — which the dispatcher then emits as the
-    job's ``checkpoint`` span in the job trace.
+    job's ``checkpoint`` span in the job trace.  :meth:`start_job` zeroes
+    the per-job accounting (appends and cache hits/misses); the index
+    itself lives on across jobs.
     """
 
     def __init__(self, path: Any, clock: Callable[[], float] = time.time):
         super().__init__(path)
         self.clock = clock
+        self.start_job()
+
+    def start_job(self) -> None:
         self.first_append: float | None = None
         self.last_append: float | None = None
         self.appended = 0
+        self.hits = 0
+        self.misses = 0
 
     def append(self, record: LedgerRecord) -> bool:
         wrote = super().append(record)
@@ -77,7 +88,8 @@ class Dispatcher(threading.Thread):
     Args:
         queue: the persistent job queue.
         ledger_path: the server's run ledger file (every job appends to
-            this one store, under the cross-process file lock).
+            this one store, under the cross-process file lock, through
+            the one handle the dispatcher keeps for its lifetime).
         workers: engine worker processes per job (1 = in-process).
         policy: failure policy every job runs under (must not be plain
             fail-fast — see the module docstring).
@@ -88,8 +100,9 @@ class Dispatcher(threading.Thread):
             it and surface through ``GET /metrics``.
         telemetry: the server's :class:`~repro.serve.telemetry.
             TelemetryHub`; the dispatcher contributes the per-job
-            ``checkpoint`` span and retry/timeout/shed instants to the
-            job trace (lifecycle spans come from the queue listener).
+            ``ledger-refresh`` and ``checkpoint`` spans and the
+            retry/timeout/shed instants to the job trace (lifecycle
+            spans come from the queue listener).
     """
 
     def __init__(
@@ -108,7 +121,8 @@ class Dispatcher(threading.Thread):
         from repro.resilience import FailurePolicy
 
         self.queue = queue
-        self.ledger_path = ledger_path
+        # No I/O here: the index builds at the first job's refresh.
+        self.ledger = _TimedLedger(ledger_path)
         self.workers = workers
         self.policy = (
             policy
@@ -164,9 +178,9 @@ class Dispatcher(threading.Thread):
     def _run_spec(self, job: Job) -> dict[str, Any]:
         kind = job.spec["kind"]
         params = job.spec["params"]
-        # A fresh handle per job sees everything on disk — including
-        # records a concurrent CLI run appended since the last job.
-        ledger = _TimedLedger(self.ledger_path)
+        ledger = self.ledger
+        ledger.start_job()
+        self._refresh_ledger(job, ledger)
         runner = {
             "sweep": self._run_sweep,
             "fuzz": self._run_fuzz,
@@ -190,6 +204,24 @@ class Dispatcher(threading.Thread):
                 recomputed=ledger.misses,
             )
         return result
+
+    def _refresh_ledger(self, job: Job, ledger: _TimedLedger) -> None:
+        """Bring the index up to date before the job probes it, traced
+        as the job's ``ledger-refresh`` span: the first job pays the full
+        index build, later ones only the lines appended since."""
+        read, parsed = ledger.bytes_read, ledger.lines_parsed
+        start = time.time()
+        ledger.refresh()
+        if self.telemetry is not None:
+            self.telemetry.tracer.span(
+                job.id,
+                "ledger-refresh",
+                start,
+                time.time(),
+                bytes_read=ledger.bytes_read - read,
+                lines_parsed=ledger.lines_parsed - parsed,
+                records=len(ledger),
+            )
 
     def _trace_resilience(self, job: Job, delta: dict[str, int]) -> None:
         """Emit one instant per resilience kind the job tripped."""

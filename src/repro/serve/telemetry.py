@@ -7,12 +7,13 @@ through queue admission, dispatcher execution, worker-pool task
 progress and ledger checkpointing, and surfaces through four outputs:
 
 - :class:`JobTracer` — an append-only JSONL **job trace**: span records
-  (``queue-wait``, ``dispatch``, ``task``, ``checkpoint``) and instant
-  records (``accepted``, ``requeued``, ``retry``, ``shed``,
-  ``terminal``), each carrying the job id.  :func:`job_trace_to_trace`
-  reconstructs them into a :class:`~repro.runtime.trace.Trace`, so the
-  *existing* Chrome exporter (:func:`repro.obs.export.export_chrome`)
-  renders a service timeline in Perfetto with one track per job.
+  (``queue-wait``, ``dispatch``, ``ledger-refresh``, ``task``,
+  ``checkpoint``) and instant records (``accepted``, ``requeued``,
+  ``retry``, ``shed``, ``terminal``), each carrying the job id.
+  :func:`job_trace_to_trace` reconstructs them into a
+  :class:`~repro.runtime.trace.Trace`, so the *existing* Chrome exporter
+  (:func:`repro.obs.export.export_chrome`) renders a service timeline in
+  Perfetto with one track per job.
 - :class:`EventBroker` — per-job publish/subscribe behind
   ``GET /jobs/{id}/events`` (Server-Sent Events).  Publishing never
   blocks (unbounded per-subscriber queues), so a stalled or vanished

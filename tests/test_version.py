@@ -37,3 +37,12 @@ def test_provenance_payload_shape():
     assert set(payload) == {"package", "git_sha", "ledger_schema", "code_version"}
     assert payload["ledger_schema"] == LEDGER_SCHEMA
     assert payload["code_version"] == code_version()
+
+
+def test_package_version_is_cached_but_the_override_is_not(monkeypatch):
+    package_version()
+    hits = package_version.cache_info().hits
+    assert package_version() == package_version()
+    assert package_version.cache_info().hits == hits + 2
+    monkeypatch.setenv(CODE_VERSION_ENV, "pinned-after-caching")
+    assert code_version() == "pinned-after-caching"
